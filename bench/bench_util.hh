@@ -5,8 +5,9 @@
 // "Scaling note"). Knobs:
 //   HMM_BENCH_SCALE   multiply every trace length (default 1.0; use 4-10
 //                     for closer-to-steady-state numbers, 0.2 for smoke)
-//   --jobs N / HMM_JOBS    worker threads for the sweep runner (default:
-//                          hardware concurrency; 1 = the old serial loop)
+//   --jobs N / HMM_JOBS    concurrent cell processes for the sweep runner
+//                          (default: hardware concurrency; 1 = the old
+//                          serial loop, in-process)
 //   --smoke / HMM_SMOKE    shrink the grid to one workload / one or two
 //                          configs (the bench_smoke ctest path)
 //   HMM_RESULTS_DIR        where sweep JSON artifacts land (default
@@ -25,10 +26,6 @@
 //   --resume               skip cells recorded in the sweep journal (after
 //                          an interrupted/killed run); recorded metrics
 //                          replay bit-identically
-//   --no-isolate / HMM_ISOLATE=0   run cells in-process (threads) instead
-//                          of fork()ed child processes (process isolation
-//                          is the default with --jobs > 1: a crashing cell
-//                          becomes a "crashed" row, not a dead sweep)
 //   HMM_CKPT_INTERVAL      seconds between mid-cell auto-checkpoints
 //                          (default 30; 0 = checkpoint only on SIGINT/
 //                          SIGTERM)
@@ -100,18 +97,6 @@ namespace hmm::bench {
   return false;
 }
 
-/// Runner options for a bench binary: --jobs/HMM_JOBS, base seed 42 (the
-/// historical bench seed), progress lines on stderr (stdout stays tables).
-[[nodiscard]] inline runner::RunnerOptions runner_options(int argc,
-                                                          char** argv) {
-  static runner::ConsoleProgress progress(std::cerr);
-  runner::RunnerOptions o;
-  o.jobs = jobs(argc, argv);
-  o.base_seed = 42;
-  o.observer = &progress;
-  return o;
-}
-
 /// `--resume`: continue an interrupted sweep from its journal.
 [[nodiscard]] inline bool resume_requested(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -120,26 +105,21 @@ namespace hmm::bench {
   return false;
 }
 
-/// `--no-isolate` / HMM_ISOLATE=0: keep cells in-process (PR 1 threads).
-[[nodiscard]] inline bool isolation_disabled(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-isolate") == 0) return true;
-  }
-  if (const char* e = std::getenv("HMM_ISOLATE"))
-    return e[0] == '0' && e[1] == '\0';
-  return false;
-}
-
-/// Durable runner options: everything the 2-arg overload sets, plus the
-/// bench-keyed journal + checkpoint directory (living next to the JSON
-/// artifact), --resume, SIGINT/SIGTERM handling, and fork()-based crash
-/// isolation by default. HMM_RESULTS_DIR="" disables the durable files.
+/// Runner options for a bench binary: --jobs/HMM_JOBS, base seed 42 (the
+/// historical bench seed), progress lines on stderr (stdout stays tables),
+/// the bench-keyed journal + checkpoint directory (living next to the JSON
+/// artifact), --resume, and SIGINT/SIGTERM handling. With --jobs > 1 each
+/// cell runs in its own fork()ed process, so a crashing cell becomes a
+/// "crashed" row, not a dead sweep. HMM_RESULTS_DIR="" disables the
+/// durable files.
 [[nodiscard]] inline runner::RunnerOptions runner_options(
     int argc, char** argv, const std::string& bench_id) {
-  runner::RunnerOptions o = runner_options(argc, argv);
+  static runner::ConsoleProgress progress(std::cerr);
+  runner::RunnerOptions o;
+  o.jobs = jobs(argc, argv);
+  o.base_seed = 42;
+  o.observer = &progress;
   runner::install_interrupt_handlers();
-  if (!isolation_disabled(argc, argv))
-    o.isolation = runner::Isolation::Process;
   const std::string dir = runner::ResultSink::results_dir();
   if (!dir.empty()) {
     o.journal_path = dir + "/" + bench_id + ".journal";
@@ -296,30 +276,6 @@ inline void report_artifact(const std::string& path) {
   g.sub_block_bytes = std::min<std::uint64_t>(params::kSubBlockSize,
                                               page_bytes);
   return g;
-}
-
-/// Replay: warm up, then measure. During warm-up the migration engine
-/// runs in instant mode, fast-forwarding placement to the steady state
-/// the paper's trillion-reference traces reach (EXPERIMENTS.md explains
-/// the methodology); measurement always uses real copy dynamics.
-[[nodiscard]] inline RunResult run(const WorkloadInfo& w,
-                                   const MemSimConfig& cfg, std::uint64_t n,
-                                   double warmup_fraction = 0.5,
-                                   std::uint64_t seed = 42,
-                                   bool instant_warmup = true) {
-  MemSim sim(cfg);
-  auto gen = w.make(seed);
-  const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(n) * warmup_fraction);
-  if (warm > 0) {
-    if (instant_warmup) sim.set_instant_migration(true);
-    sim.run(*gen, warm);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*gen, n - warm);
-  sim.finish();
-  return sim.result();
 }
 
 /// Convenience: a migration config for the Section IV studies.

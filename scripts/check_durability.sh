@@ -33,9 +33,11 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 # Strip the fields that legitimately differ between an uninterrupted run
-# and a killed+resumed one (the JSON is pretty-printed, one field per line).
+# and a killed+resumed one: host wall time and the host throughput derived
+# from it, and the retry/resume bookkeeping (the JSON is pretty-printed,
+# one field per line).
 normalize() {
-  grep -vE '"(wall_seconds|wall_seconds_total|attempts|resumed|retried)"' "$1"
+  grep -vE '"(wall_seconds|accesses_per_sec)(_total)?"|"(attempts|resumed|retried)"' "$1"
 }
 
 echo "[durability] reference sweep"

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,11 +64,11 @@ class RunningStat {
 /// Power-of-two-bucketed histogram for latency/queue-depth distributions.
 class Log2Histogram {
  public:
+  /// Counts `value` in bucket floor(log2(value)), clamped to the last
+  /// bucket; 0 counts in bucket 0.
   void add(std::uint64_t value) noexcept {
-    unsigned b = 0;
-    while ((1ull << (b + 1)) <= value && b + 1 < kBuckets) ++b;
-    if (value == 0) b = 0;
-    ++buckets_[b];
+    const auto width = static_cast<unsigned>(std::bit_width(value));
+    ++buckets_[width == 0 ? 0 : std::min(width - 1, kBuckets - 1)];
     ++total_;
   }
 

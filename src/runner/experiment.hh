@@ -2,12 +2,13 @@
 //
 // A bench declares its sweep as a flat vector of ExperimentSpec cells
 // (workload x controller config x trace length); the ExperimentRunner
-// executes each cell as an isolated job on a thread pool and returns
-// CellResults in grid order, independent of scheduling.
+// executes each cell as an isolated job (its own fork()ed process when
+// jobs > 1) and returns CellResults in grid order, independent of
+// scheduling.
 //
 // Determinism contract: every cell's RNG seed is derived as
-// hash(base_seed, seed_key), never from thread identity or submission
-// time, so a sweep is bit-identical whether it runs on 1 or 64 threads.
+// hash(base_seed, seed_key), never from process identity or launch
+// order, so a sweep is bit-identical whether it runs on 1 or 64 jobs.
 // Cells that must share a reference stream for paired comparison (e.g.
 // the with/without-migration runs of one workload) set the same
 // `seed_key`; by default the cell's unique `key` is used.
@@ -33,7 +34,7 @@ namespace hmm::runner {
 }
 
 /// Per-cell seed: FNV-1a over the key, mixed with the sweep's base seed.
-/// Depends only on (base_seed, key) — never on thread count or schedule.
+/// Depends only on (base_seed, key) — never on job count or schedule.
 [[nodiscard]] inline std::uint64_t derive_seed(std::uint64_t base_seed,
                                                std::string_view key) noexcept {
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis

@@ -25,7 +25,6 @@ ConsoleProgress::ConsoleProgress(std::ostream& os, std::size_t every)
     : os_(os), every_cfg_(every) {}
 
 void ConsoleProgress::on_start(std::size_t total_cells, unsigned jobs) {
-  const std::lock_guard<std::mutex> lock(mu_);
   start_ = std::chrono::steady_clock::now();
   failures_ = 0;
   every_ = every_cfg_ != 0 ? every_cfg_
@@ -36,7 +35,6 @@ void ConsoleProgress::on_start(std::size_t total_cells, unsigned jobs) {
 
 void ConsoleProgress::on_cell_done(const CellResult& cell, std::size_t done,
                                    std::size_t total) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (!cell.ok) ++failures_;
   if (done % every_ != 0 && done != total && cell.ok) return;
   const double elapsed =
@@ -55,7 +53,6 @@ void ConsoleProgress::on_cell_done(const CellResult& cell, std::size_t done,
 
 void ConsoleProgress::on_finish(const RunningStat& wall,
                                 double elapsed_seconds) {
-  const std::lock_guard<std::mutex> lock(mu_);
   os_ << "[runner] done: " << wall.count() << " cells in "
       << fmt_seconds(elapsed_seconds) << " (per job: mean "
       << fmt_seconds(wall.mean()) << ", max " << fmt_seconds(wall.max())

@@ -4,16 +4,14 @@
 #include <chrono>
 #include <cstddef>
 #include <iosfwd>
-#include <mutex>
 
 #include "common/stats.hh"
 #include "runner/experiment.hh"
 
 namespace hmm::runner {
 
-/// Observes sweep execution. Callbacks may arrive from worker threads
-/// (never concurrently for on_start/on_finish; on_cell_done is serialized
-/// by the runner's completion lock).
+/// Observes sweep execution. Every callback arrives on the thread that
+/// called ExperimentRunner::run(), one at a time.
 class ProgressObserver {
  public:
   virtual ~ProgressObserver() = default;
@@ -36,8 +34,8 @@ class ProgressObserver {
 };
 
 /// Prints throttled progress lines ("[12/108] fig13/FT/64KB 0.31s ETA 8s")
-/// and a closing per-job timing summary. Thread-safe; reusable across
-/// sweeps within one binary.
+/// and a closing per-job timing summary. Reusable across sweeps within one
+/// binary.
 class ConsoleProgress final : public ProgressObserver {
  public:
   /// `os` is typically std::cerr so result tables on stdout stay clean.
@@ -53,7 +51,6 @@ class ConsoleProgress final : public ProgressObserver {
   std::ostream& os_;
   std::size_t every_cfg_;
   std::size_t every_ = 1;
-  std::mutex mu_;
   std::chrono::steady_clock::time_point start_{};
   std::size_t failures_ = 0;
 };

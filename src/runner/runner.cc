@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -13,7 +12,6 @@
 #include "fault/sim_error.hh"
 #include "runner/journal.hh"
 #include "runner/supervisor.hh"
-#include "runner/thread_pool.hh"
 #include "sim/checkpoint.hh"
 
 namespace hmm::runner {
@@ -47,16 +45,6 @@ struct InterruptedRun {};
   return v > 0 ? v : 0;
 }
 
-[[nodiscard]] CellResult unstarted_interrupted(const ExperimentSpec& spec) {
-  CellResult cell;
-  cell.key = spec.key;
-  cell.ok = false;
-  cell.status = "interrupted";
-  cell.error = "sweep interrupted before this cell started";
-  cell.attempts = 0;
-  return cell;
-}
-
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)
@@ -65,7 +53,6 @@ ExperimentRunner::ExperimentRunner(RunnerOptions opts)
       observer_(opts.observer),
       cell_timeout_(resolve_cell_timeout(opts.cell_timeout_seconds)),
       retry_failed_(opts.retry_failed),
-      isolation_(opts.isolation),
       journal_path_(std::move(opts.journal_path)),
       resume_(opts.resume),
       checkpoint_dir_(std::move(opts.checkpoint_dir)),
@@ -258,9 +245,7 @@ std::vector<CellResult> ExperimentRunner::run(
     }
   }
 
-  // Completion bookkeeping, shared by every execution path. Single-threaded
-  // everywhere except the thread-pool path, which serializes through a
-  // mutex before calling in.
+  // Completion bookkeeping; the supervisor calls it on this thread.
   const auto complete = [&](std::size_t i, CellResult cell) {
     if (cell.status != "interrupted") journal.append(cell);
     wall.add(cell.wall_seconds);
@@ -269,35 +254,12 @@ std::vector<CellResult> ExperimentRunner::run(
     if (observer_) observer_->on_cell_done(results[i], done, grid.size());
   };
 
-  const bool use_process = isolation_ == Isolation::Process &&
-                           process_isolation_available() && jobs_ > 1;
-  if (use_process) {
-    // The parent runs no worker threads in this mode, so every fork()
-    // happens from a single-threaded process.
-    Supervisor sup({jobs_, cell_timeout_});
-    sup.run(
-        grid, todo, [this, &grid](std::size_t i) { return execute(grid[i]); },
-        complete);
-  } else if (jobs_ <= 1 || todo.size() <= 1) {
-    // Inline serial path: the exact pre-runner bench loop.
-    for (const std::size_t i : todo) {
-      complete(i, interrupt_requested() ? unstarted_interrupted(grid[i])
-                                        : execute(grid[i]));
-    }
-  } else {
-    ThreadPool pool(jobs_);
-    std::mutex done_mu;  // serializes completion bookkeeping + callbacks
-    for (const std::size_t i : todo) {
-      pool.submit([this, &grid, &complete, &done_mu, i] {
-        CellResult cell = interrupt_requested()
-                              ? unstarted_interrupted(grid[i])
-                              : execute(grid[i]);
-        const std::lock_guard<std::mutex> lock(done_mu);
-        complete(i, std::move(cell));
-      });
-    }
-    pool.wait_idle();
-  }
+  // jobs = 1 runs every cell inline on this thread (the exact pre-runner
+  // bench loop); jobs > 1 runs each cell in its own fork()ed child.
+  Supervisor sup({jobs_, cell_timeout_});
+  sup.run(
+      grid, todo, [this, &grid](std::size_t i) { return execute(grid[i]); },
+      complete);
 
   // The journal has served its purpose once every cell is terminal; keep
   // it only when something was interrupted (that is what --resume reads).

@@ -1,4 +1,5 @@
-// ExperimentRunner: executes a declarative sweep grid on a thread pool.
+// ExperimentRunner: executes a declarative sweep grid, inline or one
+// fork()ed child per cell.
 //
 // Usage:
 //   std::vector<ExperimentSpec> grid = ...;         // cells in print order
@@ -9,9 +10,11 @@
 //  * results come back in grid order regardless of scheduling;
 //  * cell seeds derive from (base_seed, seed key) only, so jobs=1 and
 //    jobs=N produce bit-identical RunResults (wall times aside);
-//  * a throwing job becomes a failed CellResult; the sweep completes;
+//  * a throwing job becomes a failed CellResult, and a crashing one a
+//    "crashed" CellResult (supervisor.hh); the sweep completes;
 //  * jobs=1 runs every cell inline on the calling thread — exactly the
-//    serial loop the benches used before this subsystem existed.
+//    serial loop the benches used before this subsystem existed; so does
+//    any jobs on a platform without fork().
 #pragma once
 
 #include <cstdint>
@@ -22,19 +25,11 @@
 
 namespace hmm::runner {
 
-/// How cells are executed relative to the supervising process.
-enum class Isolation {
-  InProcess,  ///< thread pool (or inline) in this process — PR 1 behaviour
-  /// fork() one child per cell: a SIGSEGV/abort/OOM in a cell becomes a
-  /// "crashed"/"error" row instead of killing the sweep. Requires POSIX
-  /// and jobs > 1; otherwise falls back to InProcess.
-  Process,
-};
-
 struct RunnerOptions {
-  unsigned jobs = 0;  ///< worker threads; 0 = hardware concurrency, 1 = inline
+  /// Concurrent cell processes; 0 = hardware concurrency, 1 = inline.
+  unsigned jobs = 0;
   std::uint64_t base_seed = 42;          ///< mixed into every cell seed
-  ProgressObserver* observer = nullptr;  ///< optional; callbacks serialized
+  ProgressObserver* observer = nullptr;  ///< optional; run()'s thread
   /// Per-cell wall-clock deadline in seconds; a cell exceeding it fails
   /// with status "timeout". < 0 = read the HMM_CELL_TIMEOUT environment
   /// variable (unset or 0 = no deadline).
@@ -44,8 +39,6 @@ struct RunnerOptions {
   /// a deterministic failure reproduces exactly).
   bool retry_failed = true;
   // --- durability (fields appended; callers use designated initializers) ---
-  /// Crash isolation mode; Process needs POSIX fork() and jobs > 1.
-  Isolation isolation = Isolation::InProcess;
   /// JSONL journal of completed cells; empty = journaling disabled. With a
   /// journal, an interrupted/killed sweep rerun with `resume = true` skips
   /// every journaled cell and replays its recorded metrics bit-identically.
@@ -75,7 +68,7 @@ class ExperimentRunner {
   [[nodiscard]] static RunResult replay(const ExperimentSpec& spec,
                                         std::uint64_t seed);
 
-  /// Resolved worker count (after the jobs=0 default).
+  /// Resolved job count (after the jobs=0 default).
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
  private:
@@ -97,7 +90,6 @@ class ExperimentRunner {
   ProgressObserver* observer_;
   double cell_timeout_;
   bool retry_failed_;
-  Isolation isolation_;
   std::string journal_path_;
   bool resume_;
   std::string checkpoint_dir_;

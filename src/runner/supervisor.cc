@@ -65,8 +65,7 @@ bool process_isolation_available() noexcept { return HMM_HAVE_FORK != 0; }
 
 namespace {
 
-[[nodiscard]] CellResult make_unstarted_interrupted(
-    const ExperimentSpec& spec) {
+[[nodiscard]] CellResult unstarted_interrupted(const ExperimentSpec& spec) {
   CellResult cell;
   cell.key = spec.key;
   cell.ok = false;
@@ -74,6 +73,17 @@ namespace {
   cell.error = "sweep interrupted before this cell started";
   cell.attempts = 0;
   return cell;
+}
+
+/// The serial path: every cell on the calling thread, in `todo` order,
+/// still honouring the interrupt flag.
+void run_inline(const std::vector<ExperimentSpec>& grid,
+                const std::vector<std::size_t>& todo,
+                const Supervisor::CellFn& fn, const Supervisor::DoneFn& done) {
+  for (const std::size_t index : todo) {
+    done(index, interrupt_requested() ? unstarted_interrupted(grid[index])
+                                      : fn(index));
+  }
 }
 
 }  // namespace
@@ -160,7 +170,11 @@ void drain_pipe(Child& c) {
 void Supervisor::run(const std::vector<ExperimentSpec>& grid,
                      const std::vector<std::size_t>& todo, const CellFn& fn,
                      const DoneFn& done) {
-  const unsigned jobs = opts_.jobs > 0 ? opts_.jobs : 1;
+  if (opts_.jobs <= 1) {
+    run_inline(grid, todo, fn, done);
+    return;
+  }
+  const unsigned jobs = opts_.jobs;
   // Kill a child only well past its own internal deadline: the child
   // classifies its own timeout cleanly; SIGKILL is the backstop for a
   // child wedged so hard it cannot even raise SimError(Timeout).
@@ -228,7 +242,7 @@ void Supervisor::run(const std::vector<ExperimentSpec>& grid,
       // SIGTERM once and are then reaped normally (they checkpoint and
       // exit kInterruptedExit on their own).
       while (next < todo.size())
-        done(todo[next], make_unstarted_interrupted(grid[todo[next]])),
+        done(todo[next], unstarted_interrupted(grid[todo[next]])),
             ++next;
       for (Child& c : active) {
         if (!c.term_forwarded) {
@@ -282,14 +296,8 @@ void Supervisor::run(const std::vector<ExperimentSpec>& grid,
 void Supervisor::run(const std::vector<ExperimentSpec>& grid,
                      const std::vector<std::size_t>& todo, const CellFn& fn,
                      const DoneFn& done) {
-  // No fork(): run the cells inline, still honouring the interrupt flag.
-  for (const std::size_t index : todo) {
-    if (interrupt_requested()) {
-      done(index, make_unstarted_interrupted(grid[index]));
-      continue;
-    }
-    done(index, fn(index));
-  }
+  // No fork(): every cell runs inline, whatever `jobs` says.
+  run_inline(grid, todo, fn, done);
 }
 
 #endif  // HMM_HAVE_FORK

@@ -1,11 +1,10 @@
 // Process-level crash isolation for sweep cells, plus the sweep-wide
 // interrupt flag.
 //
-// In Isolation::Process mode each cell runs in a fork()ed child: the cell
-// body executes there, serializes its CellResult onto a pipe, and exits.
-// The parent — which runs no worker threads in this mode, so the fork is
-// async-signal-safe — reaps children, reads their blobs, and classifies
-// every outcome:
+// With jobs > 1 each cell runs in a fork()ed child: the cell body
+// executes there, serializes its CellResult onto a pipe, and exits. The
+// parent — which runs no threads, so the fork is async-signal-safe —
+// reaps children, reads their blobs, and classifies every outcome:
 //   exit 0               -> the child's own classification (ok/failed/...)
 //   exit kInterruptedExit-> "interrupted" (checkpoint saved, resumable)
 //   other exit codes     -> "error"   (e.g. std::abort via HMM_CHECK, OOM
@@ -13,8 +12,7 @@
 //   killed by a signal   -> "crashed" (SIGSEGV and friends)
 //   parent deadline hit  -> "timeout" (SIGKILL after 2x the cell budget)
 // A SIGSEGV in one cell therefore becomes one "crashed" row in the
-// results JSON while every sibling completes — the isolation PR 1's
-// thread pool could not give.
+// results JSON while every sibling completes.
 //
 // The interrupt flag is process-global: install_interrupt_handlers() maps
 // SIGINT/SIGTERM onto it, children inherit the handler, and the durable
@@ -49,22 +47,23 @@ void install_interrupt_handlers();
 class Supervisor {
  public:
   struct Options {
-    unsigned jobs = 1;           ///< max concurrent children
-    double cell_timeout = 0;     ///< child budget in seconds; 0 = none
+    unsigned jobs = 1;        ///< max concurrent children; <= 1 = inline
+    double cell_timeout = 0;  ///< child budget in seconds; 0 = none
   };
 
-  /// Runs `fn` inside the child for the cell at grid index `i`.
+  /// Runs the cell at grid index `i` (inside its child when forking).
   using CellFn = std::function<CellResult(std::size_t i)>;
-  /// Called in the parent, in completion order, once per scheduled index.
+  /// Called on the calling thread, in completion order, once per index.
   using DoneFn = std::function<void(std::size_t i, CellResult cell)>;
 
   explicit Supervisor(Options opts) : opts_(opts) {}
 
   /// Executes the cells named by `todo` (indices into the caller's grid).
-  /// Blocks until every scheduled child is reaped. When the interrupt
-  /// flag rises, stops launching, forwards SIGTERM to running children,
-  /// and reports unstarted cells as "interrupted" (not checkpointed —
-  /// they never ran). Never throws past a fork.
+  /// With jobs <= 1, or without fork(), runs them inline on the calling
+  /// thread; otherwise blocks until every scheduled child is reaped. When
+  /// the interrupt flag rises, stops launching, forwards SIGTERM to
+  /// running children, and reports unstarted cells as "interrupted" (not
+  /// checkpointed — they never ran). Never throws past a fork.
   void run(const std::vector<ExperimentSpec>& grid,
            const std::vector<std::size_t>& todo, const CellFn& fn,
            const DoneFn& done);

@@ -2,7 +2,9 @@
 // the reconstructed Table II latency ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -170,6 +172,27 @@ TEST(Log2Histogram, BucketsAndQuantiles) {
   EXPECT_EQ(h.quantile(0.5), 1ull);
   // The top decile lands in the 512..1024 bucket.
   EXPECT_EQ(h.quantile(0.95), 512ull);
+
+  // Boundary values: bucket b holds [2^b, 2^(b+1)), 0 joins bucket 0, and
+  // everything from 2^39 up lands in the last bucket.
+  const auto bucket_of = [](std::uint64_t value) {
+    Log2Histogram one;
+    one.add(value);
+    for (unsigned b = 0; b < Log2Histogram::kBuckets; ++b)
+      if (one.bucket(b) == 1) return b;
+    return Log2Histogram::kBuckets;
+  };
+  const unsigned last = Log2Histogram::kBuckets - 1;
+  EXPECT_EQ(bucket_of(0), 0u);
+  EXPECT_EQ(bucket_of(1), 0u);
+  EXPECT_EQ(bucket_of(2), 1u);
+  EXPECT_EQ(bucket_of(3), 1u);
+  for (unsigned k = 2; k < 64; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(bucket_of((1ull << k) - 1), std::min(k - 1, last));
+    EXPECT_EQ(bucket_of(1ull << k), std::min(k, last));
+  }
+  EXPECT_EQ(bucket_of(UINT64_MAX), last);
 }
 
 TEST(Log2Histogram, ZeroValue) {

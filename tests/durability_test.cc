@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -393,9 +394,7 @@ TEST(RunnerDurability, CrashingCellIsIsolatedAndSiblingsComplete) {
       return r;
     };
   }
-  const std::vector<CellResult> out =
-      ExperimentRunner({.jobs = 2, .isolation = Isolation::Process})
-          .run(grid);
+  const std::vector<CellResult> out = ExperimentRunner({.jobs = 2}).run(grid);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(out[0].ok);
   EXPECT_EQ(out[0].result.accesses, 100u);
@@ -404,6 +403,52 @@ TEST(RunnerDurability, CrashingCellIsIsolatedAndSiblingsComplete) {
   EXPECT_NE(out[1].error.find("signal"), std::string::npos);
   EXPECT_TRUE(out[2].ok);
   EXPECT_EQ(out[2].result.accesses, 102u);
+}
+
+TEST(RunnerDurability, LoneCellWithJobsAboveOneStillForks) {
+  if (!process_isolation_available()) GTEST_SKIP() << "no fork()";
+  clear_interrupt();
+
+  // One cell and jobs > 1: the cell still gets its own child, so its
+  // death is one "crashed" row and this process carries on.
+  std::vector<ExperimentSpec> grid(1);
+  grid[0].key = "lone";
+  grid[0].job = [](std::uint64_t) -> RunResult {
+    std::raise(SIGKILL);  // as in CrashingCellIsIsolatedAndSiblingsComplete
+    return RunResult{};
+  };
+  const std::vector<CellResult> out = ExperimentRunner({.jobs = 2}).run(grid);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].ok);
+  EXPECT_EQ(out[0].status, "crashed");
+  EXPECT_NE(out[0].error.find("signal"), std::string::npos);
+}
+
+TEST(RunnerDurability, InterruptBeforeTheSweepLeavesEveryCellUnstarted) {
+  // Inline and forked sweeps report cells they never started the same
+  // way: "interrupted", zero attempts, and the body never ran.
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    std::vector<ExperimentSpec> grid(3);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      grid[i].key = "cell" + std::to_string(i);
+      grid[i].job = [](std::uint64_t) -> RunResult {
+        throw std::runtime_error("an unstarted cell ran");
+      };
+    }
+    request_interrupt();
+    const std::vector<CellResult> out =
+        ExperimentRunner({.jobs = jobs}).run(grid);
+    clear_interrupt();
+    ASSERT_EQ(out.size(), grid.size());
+    for (const CellResult& c : out) {
+      SCOPED_TRACE(c.key);
+      EXPECT_FALSE(c.ok);
+      EXPECT_EQ(c.status, "interrupted");
+      EXPECT_EQ(c.attempts, 0u);
+      EXPECT_EQ(c.error, "sweep interrupted before this cell started");
+    }
+  }
 }
 
 TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
@@ -415,11 +460,12 @@ TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
   grid.push_back(sim_spec("durability/iso/b"));
   for (ExperimentSpec& s : grid) s.accesses = 3000;
 
+  // jobs=1 runs inline in this process (the reference); jobs=2 forks one
+  // child per cell and ships each result back through the cell codec.
   const std::vector<CellResult> in_process =
-      ExperimentRunner({.jobs = 2}).run(grid);
+      ExperimentRunner({.jobs = 1}).run(grid);
   const std::vector<CellResult> isolated =
-      ExperimentRunner({.jobs = 2, .isolation = Isolation::Process})
-          .run(grid);
+      ExperimentRunner({.jobs = 2}).run(grid);
   ASSERT_EQ(isolated.size(), in_process.size());
   for (std::size_t i = 0; i < isolated.size(); ++i) {
     SCOPED_TRACE(grid[i].key);

@@ -1,6 +1,6 @@
-// Runner subsystem tests: the determinism contract (jobs=1 == jobs=8,
-// bit-identical), failure isolation (a throwing job becomes a failed cell,
-// the pool survives), seed derivation, the thread pool, and the JSON
+// Runner subsystem tests: the determinism contract (jobs=1 inline ==
+// jobs=8 forked, bit-identical), failure isolation (a throwing job becomes
+// a failed cell, the sweep completes), seed derivation, and the JSON
 // writer's output format.
 #include <gtest/gtest.h>
 
@@ -12,13 +12,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "common/units.hh"
 #include "fault/sim_error.hh"
 #include "runner/json.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
+#include "runner/supervisor.hh"
 #include "trace/workloads.hh"
 
 namespace hmm::runner {
@@ -31,40 +34,6 @@ TEST(DeriveSeed, DependsOnlyOnBaseSeedAndKey) {
   EXPECT_NE(derive_seed(42, "fig13/FT/64KB"), derive_seed(42, "fig13/FT/4KB"));
   EXPECT_NE(derive_seed(42, "fig13/FT/64KB"), derive_seed(43, "fig13/FT/64KB"));
   EXPECT_NE(derive_seed(0, ""), derive_seed(1, ""));
-}
-
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // idle pool: returns immediately
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, SurvivesThrowingTask) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("escaped"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
 }
 
 // --- runner determinism -----------------------------------------------------
@@ -187,6 +156,58 @@ TEST(ExperimentRunner, Jobs1RunsInlineOnTheCallingThread) {
   ASSERT_EQ(ran_on.size(), 2u);
   EXPECT_EQ(ran_on[0], std::this_thread::get_id());
   EXPECT_EQ(ran_on[1], std::this_thread::get_id());
+}
+
+TEST(ExperimentRunner, JobsAboveOneRunEachCellInAForkedChild) {
+  if (!process_isolation_available()) GTEST_SKIP() << "no fork()";
+  clear_interrupt();
+  std::vector<ExperimentSpec> grid(3);
+  auto touched = std::make_shared<int>(0);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i].key = "cell" + std::to_string(i);
+    grid[i].job = [touched](std::uint64_t) {
+      ++*touched;  // lands in the child's copy of the heap
+      RunResult r;
+      r.accesses = static_cast<std::uint64_t>(::getpid());
+      return r;
+    };
+  }
+  const std::vector<CellResult> out = ExperimentRunner({.jobs = 2}).run(grid);
+  ASSERT_EQ(out.size(), grid.size());
+  const auto self = static_cast<std::uint64_t>(::getpid());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    SCOPED_TRACE(grid[i].key);
+    EXPECT_TRUE(out[i].ok) << out[i].error;
+    EXPECT_NE(out[i].result.accesses, self);  // came back over the pipe
+  }
+  EXPECT_EQ(*touched, 0);  // no cell body ran in this process
+}
+
+TEST(ExperimentRunner, ObserverCallbacksComeFromTheCallingThread) {
+  // Observers need no locking: on the fork path too, every callback runs
+  // on the thread that called run().
+  struct Recorder : ProgressObserver {
+    std::vector<std::thread::id> seen;
+    void on_start(std::size_t, unsigned) override {
+      seen.push_back(std::this_thread::get_id());
+    }
+    void on_cell_done(const CellResult&, std::size_t, std::size_t) override {
+      seen.push_back(std::this_thread::get_id());
+    }
+    void on_finish(const RunningStat&, double) override {
+      seen.push_back(std::this_thread::get_id());
+    }
+  } rec;
+  std::vector<ExperimentSpec> grid(4);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i].key = "cell" + std::to_string(i);
+    grid[i].job = [](std::uint64_t) { return RunResult{}; };
+  }
+  (void)ExperimentRunner({.jobs = 3, .base_seed = 42, .observer = &rec})
+      .run(grid);
+  ASSERT_EQ(rec.seen.size(), grid.size() + 2);
+  for (const std::thread::id id : rec.seen)
+    EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ExperimentRunner, ObserverSeesEveryCellAndTheSummary) {

@@ -9,10 +9,18 @@ suppressing — fails this test instead of silently passing the tree.
 
 Runs under the text backend always, and again under the AST backend
 when libclang is available, so CI proves both paths.
+
+Fixtures are passed as explicit files, which every check scans whatever
+its directory scope. So a second pass pins the scopes: it plants one
+violation per check under each directory that check must cover, in a
+scratch git tree scanned the way the repo is, and requires every plant
+to be reported (text backend; both backends share the scope tuples).
 """
 
 import os
+import subprocess
 import sys
+import tempfile
 
 from . import astlib
 from . import checks as checks_pkg
@@ -35,6 +43,29 @@ CASES = [
      [f"{FIX}/includes_ok.hh", f"{FIX}/includes_ok.cc"], 3),
     ("style", [f"{FIX}/style_bad.cc"], [f"{FIX}/style_ok.cc"], 4),
 ]
+
+# Directory-scope plants: check -> (directories it must cover, file
+# name, violating content). The directories are spelled out here, not
+# read from the checks' *SCOPE tuples, so narrowing a tuple fails this
+# pass instead of narrowing it too.
+TOP_DIRS = ("bench", "examples", "perfbench", "src", "tests", "tools")
+SCOPE_PLANTS = {
+    "errors": (("src", "tools"), "plant.cc",
+               "void check(int x) { assert(x); }\n"),
+    "determinism": (("src", "tools"), "plant.cc",
+                    "#include <random>\n"
+                    "unsigned seed() { return std::random_device{}(); }\n"),
+    "snapshot": (("src", "tools"), "plant.hh",
+                 "#pragma once\n"
+                 "namespace snap { class Writer; class Reader; }\n"
+                 "struct Plant {\n"
+                 "  void save(snap::Writer& w) const { (void)w; }\n"
+                 "  void restore(snap::Reader& r) { (void)r; }\n"
+                 "  unsigned long dropped_ = 0;\n"
+                 "};\n"),
+    "includes": (TOP_DIRS, "plant.hh", "int no_pragma_once();\n"),
+    "style": (TOP_DIRS, "plant.cc", "int trailing_space(); \n"),
+}
 
 
 def _context(target, use_ast):
@@ -74,8 +105,38 @@ def _backend_pass(use_ast, label):
     return failures
 
 
+def _scope_pass():
+    """Plants every SCOPE_PLANTS violation in a scratch git tree and
+    scans it in tree mode; each plant must be reported."""
+    from .analyze import make_context, run_checks
+    failures = []
+    with tempfile.TemporaryDirectory() as tree:
+        plants = []
+        for check, (dirs, name, content) in SCOPE_PLANTS.items():
+            for d in dirs:
+                path = f"{d}/{check}/{name}"
+                os.makedirs(os.path.join(tree, d, check), exist_ok=True)
+                with open(os.path.join(tree, path), "w",
+                          encoding="utf-8") as f:
+                    f.write(content)
+                plants.append((check, path))
+        for cmd in (["git", "init", "-q"], ["git", "add", "-A"]):
+            subprocess.run(cmd, cwd=tree, check=True)
+        ctx = make_context(tree, [], os.path.join(tree, "build"), False)
+        reported = {(f.check, f.path)
+                    for f in run_checks(ctx, set(SCOPE_PLANTS))}
+        for check, path in plants:
+            if (check, path) not in reported:
+                failures.append(
+                    f"[scope] {check}: a violation planted in {path} "
+                    "went unreported — the check's directory scope "
+                    "no longer covers it")
+    return failures, len(plants)
+
+
 def run(backend):
-    failures = _backend_pass(False, "text")
+    failures, plants = _scope_pass()
+    failures += _backend_pass(False, "text")
     ran = ["text"]
     if backend != "text":
         if astlib.available():
@@ -94,6 +155,7 @@ def run(backend):
         print(f"self-test: {f}", file=sys.stderr)
     verdict = "FAIL" if failures else "PASS"
     print(f"analyze --self-test: {verdict} "
-          f"({len(CASES)} checkers x {{{', '.join(ran)}}} backends)",
+          f"({len(CASES)} checkers x {{{', '.join(ran)}}} backends, "
+          f"{plants} scope plants)",
           file=sys.stderr)
     return 1 if failures else 0
